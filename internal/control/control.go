@@ -115,8 +115,15 @@ type ApproxPolicy struct {
 	// commodity core (1000-link hierarchical instance, Newton-CG path).
 	ExactRate float64
 	// ExactIters is the iteration count the cost model charges the exact
-	// solver; 0 selects 600 (the observed order of magnitude for
-	// converged active-set runs on generated ISP-like instances).
+	// solver; 0 selects 100. It is derived from the deterministic cold
+	// iteration counts of `netsamp scale -links 1000`: 37, 34 and 35 on
+	// generator seeds 1–3 with the projected-arc step (the one-bound rule
+	// took 404 on seed 1, against the old default of 600). The default
+	// keeps ~2.7× headroom over them, because per-iteration cost grows
+	// faster than NNZ beyond 1k links: at 5k links (seed 1, one worker)
+	// the exact solve took 64 iterations and 185 s, which the model
+	// predicts as 170 s; at 10k links it predicts 351 s and routes to
+	// Frank-Wolfe.
 	ExactIters int
 	// Opts carries the inner Frank-Wolfe options for approximated
 	// intervals (zero value = SolveApprox defaults).
@@ -133,7 +140,7 @@ func (ap ApproxPolicy) exactRate() float64 {
 
 func (ap ApproxPolicy) exactIters() int {
 	if ap.ExactIters == 0 {
-		return 600
+		return 100
 	}
 	return ap.ExactIters
 }
@@ -765,6 +772,11 @@ func (c *Controller) TrackerState() *loadtrack.State {
 	return &st
 }
 
+// onBudgetRel is the relative distance from θ within which a plan's
+// spend counts as exactly on budget: the solver's budget-equality
+// guarantee.
+const onBudgetRel = 1e-12
+
 // fallback serves an interval whose re-optimization failed: the last
 // known-good plan restricted to surviving (eligible) monitors, rescaled
 // so Σ p_i·U_i ≤ θ against the smoothed load estimate. The stored last
@@ -789,9 +801,15 @@ func (c *Controller) fallback(cause error, eligible, excluded []topology.LinkID,
 	}
 	// Rescale into the budget: overspend (load growth since the plan was
 	// made) scales down; capacity freed by dead monitors is re-spent on
-	// the survivors, capped at rate 1. Either way Σ p_i·U_i ≤ θ holds.
-	if spend := plan.SampledRate(fb, loads); spend > c.opts.Budget || spend < c.opts.Budget*(1-1e-6) && spend > 0 {
-		scale := c.opts.Budget / spend
+	// the survivors, capped at rate 1. Either way Σ p_i·U_i ≤ θ holds, to
+	// the 1e-12 relative budget equality the solver guarantees: a plan
+	// that far from θ is on budget and is redeployed verbatim, whatever
+	// its last bit (the LinkID-order sum here is not the solver's index-
+	// order sum).
+	theta := c.opts.Budget
+	if spend := plan.SampledRate(fb, loads); math.Abs(spend-theta) > onBudgetRel*theta &&
+		(spend > theta || spend < theta*(1-1e-6) && spend > 0) {
+		scale := theta / spend
 		for lid := range fb {
 			fb[lid] = math.Min(1, fb[lid]*scale)
 		}

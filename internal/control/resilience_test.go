@@ -3,6 +3,7 @@ package control
 import (
 	"context"
 	"errors"
+	"math"
 	"testing"
 	"time"
 
@@ -336,5 +337,48 @@ func TestFallbackRespectsBudget(t *testing.T) {
 	}
 	if fallbacks != 11 || c.Fallbacks() != 11 {
 		t.Fatalf("fallbacks = %d / %d", fallbacks, c.Fallbacks())
+	}
+}
+
+// TestFallbackRedeploysPlanOneUlpOverBudget: the solver meets the budget
+// to 1e-12 relative in its own summation order, so a last-good plan
+// whose link-ID-order spend lands one ulp above θ is on budget and must
+// be redeployed verbatim, not rescaled by 1−2⁻⁵². A plan genuinely over
+// budget is still scaled back into it.
+func TestFallbackRedeploysPlanOneUlpOverBudget(t *testing.T) {
+	loads := []float64{3e5, 7e4, 1.1e6, 2.5e5}
+	good := map[topology.LinkID]float64{0: 0.013, 1: 0.27, 2: 0.0041, 3: 0.09}
+	spend := plan.SampledRate(good, loads)
+	theta := math.Nextafter(spend, 0)
+	if !(spend > theta) {
+		t.Fatalf("spend %v not above θ %v", spend, theta)
+	}
+	eligible := []topology.LinkID{0, 1, 2, 3}
+	fallback := func(budget float64) map[topology.LinkID]float64 {
+		t.Helper()
+		c, err := New(Options{Budget: budget})
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.rememberGood(good)
+		d, err := c.fallback(errors.New("solver failed"), eligible, nil, loads)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !d.Degraded {
+			t.Fatal("fallback decision not degraded")
+		}
+		return d.Plan
+	}
+	fb := fallback(theta)
+	for lid, p := range good {
+		if fb[lid] != p {
+			t.Fatalf("link %d: fallback rate %v, last good %v (one-ulp overspend rescaled)", lid, fb[lid], p)
+		}
+	}
+	over := spend / (1 + 1e-9)
+	fb = fallback(over)
+	if got := plan.SampledRate(fb, loads); got > over*(1+1e-12) {
+		t.Fatalf("plan 1e-9 over budget deployed unscaled: spend %v, θ %v", got, over)
 	}
 }

@@ -7,10 +7,11 @@ import (
 )
 
 // Zero-alloc pins for the scale tier: the CSR front door, the Newton-CG
-// path (free set beyond the dense-KKT bound), the sharded kernels, and
-// the Frank-Wolfe approximation must all keep SolveInto/SolveApproxInto
-// at 0 allocs/op in steady state — at one solve per 5-minute interval
-// for years, allocator traffic is drift the daemon cannot afford.
+// path (free set beyond the dense-KKT bound), the projected-arc step,
+// the sharded kernels, and the Frank-Wolfe approximation must all keep
+// SolveInto/SolveApproxInto at 0 allocs/op in steady state — at one
+// solve per 5-minute interval for years, allocator traffic is drift the
+// daemon cannot afford.
 
 // scaleAllocProblem exceeds denseKKTMaxFree links (forcing Newton-CG)
 // and one shard chunk (forcing real multi-chunk dispatch when sharded).
@@ -53,6 +54,7 @@ func TestScaleSolveIntoZeroAllocs(t *testing.T) {
 	pinZeroAllocs(t, "CSR SolveInto (Newton-CG)", func() error {
 		return s.SolveInto(&sol, opt)
 	})
+	requireArcSteps(t, s, opt, &sol)
 }
 
 func TestScaleSolveApproxIntoZeroAllocs(t *testing.T) {
@@ -82,6 +84,7 @@ func TestShardedSolveIntoZeroAllocs(t *testing.T) {
 	pinZeroAllocs(t, "sharded SolveInto", func() error {
 		return s.SolveInto(&sol, opt)
 	})
+	requireArcSteps(t, s, opt, &sol)
 	aopt := ApproxOptions{MaxIter: shardIters(40)}
 	pinZeroAllocs(t, "sharded SolveApproxInto", func() error {
 		return s.SolveApproxInto(&sol, aopt)

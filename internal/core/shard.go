@@ -1,11 +1,11 @@
 package core
 
 // Sharded pair-loop kernels. Every hot sweep of the solver — gradient,
-// line-search derivatives, Hessian curvature and products, solution
-// assembly — is a reduction over the CSR pair rows. At 10⁶ pairs one
-// core is the bottleneck, so a Solver can attach a persistent worker
-// pool (engine.Pool via the ForPool interface) and fan each sweep out
-// over pair chunks.
+// line-search derivatives, Hessian curvature, products and diagonal,
+// objective, solution assembly — is a reduction over the CSR pair rows.
+// At 10⁶ pairs one core is the bottleneck, so a Solver can attach a
+// persistent worker pool (engine.Pool via the ForPool interface) and fan
+// each sweep out over pair chunks.
 //
 // Determinism contract: results are bit-identical at ANY worker count,
 // including 1. The chunk partition is a pure function of the problem
@@ -48,6 +48,8 @@ const (
 	shardTaskCurv
 	shardTaskHess
 	shardTaskFinish
+	shardTaskObj
+	shardTaskDiag
 )
 
 type shardState struct {
@@ -164,6 +166,19 @@ func (s *Solver) shardChunk(c int) {
 			obj += s.wts[k] * u
 		}
 		s.sh.pd1[c] = obj
+	case shardTaskDiag:
+		part := s.sh.partials[c*s.n : (c+1)*s.n]
+		for i := range part {
+			part[i] = 0
+		}
+		s.hessDiagRange(kLo, kHi, s.sh.vecA, part)
+	case shardTaskObj:
+		rates := s.sh.vecA
+		obj := 0.0
+		for k := kLo; k < kHi; k++ {
+			obj += s.wts[k] * s.utils[k].Value(s.rho(k, rates))
+		}
+		s.sh.pd1[c] = obj
 	}
 }
 
@@ -244,6 +259,34 @@ func (s *Solver) shardFinish(rates, rhoOut, utilOut []float64) float64 {
 	s.sh.vecA, s.sh.rhoOut, s.sh.utilOut = rates, rhoOut, utilOut
 	s.sh.pool.For(s.sh.nChunks, s.sh.runChunk) //netsamp:allocflow-ok sole impl engine.Pool.For is noalloc-checked in its package
 	s.sh.vecA, s.sh.rhoOut, s.sh.utilOut = nil, nil, nil
+	obj := 0.0
+	for c := 0; c < s.sh.nChunks; c++ {
+		obj += s.sh.pd1[c]
+	}
+	return obj
+}
+
+// shardHessDiag is the sharded form of hessDiag.
+//netsamp:noalloc
+func (s *Solver) shardHessDiag(rates, out []float64) {
+	s.sh.task = shardTaskDiag
+	s.sh.vecA = rates
+	s.sh.pool.For(s.sh.nChunks, s.sh.runChunk) //netsamp:allocflow-ok sole impl engine.Pool.For is noalloc-checked in its package
+	s.sh.vecA = nil
+	for i := range out {
+		out[i] = 0
+	}
+	s.reducePartials(out)
+}
+
+// shardObjective is the sharded form of objective: per-chunk partial
+// sums reduced in ascending chunk order.
+//netsamp:noalloc
+func (s *Solver) shardObjective(rates []float64) float64 {
+	s.sh.task = shardTaskObj
+	s.sh.vecA = rates
+	s.sh.pool.For(s.sh.nChunks, s.sh.runChunk) //netsamp:allocflow-ok sole impl engine.Pool.For is noalloc-checked in its package
+	s.sh.vecA = nil
 	obj := 0.0
 	for c := 0; c < s.sh.nChunks; c++ {
 		obj += s.sh.pd1[c]

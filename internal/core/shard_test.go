@@ -63,6 +63,15 @@ func TestShardedBitIdenticalAcrossWorkerCounts(t *testing.T) {
 	cp := shardProblem(t)
 	for _, approx := range []bool{false, true} {
 		base := solveSharded(t, cp, 1, approx)
+		if !approx {
+			// The exact solve must exercise the projected-arc step, whose
+			// objective sweeps reduce in the same fixed chunk order.
+			s, err := NewSolverCSR(cp)
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireArcSteps(t, s, Options{MaxIter: shardIters(24)}, base)
+		}
 		for _, workers := range []int{2, 4, 8} {
 			sol := solveSharded(t, cp, workers, approx)
 			if sol.Objective != base.Objective {

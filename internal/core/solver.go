@@ -208,8 +208,8 @@ func initialPoint(p *Problem, opt Options) ([]float64, error) {
 
 // fixBudget removes the budget-equality drift by shifting free
 // coordinates along the loads vector (the minimum-norm correction),
-// clamping to bounds. lower/upper may be nil, meaning all coordinates
-// are free.
+// clamping to bounds, until Σ p_i·U_i = θ to 1e-12 relative. lower/upper
+// may be nil, meaning all coordinates are free.
 //netsamp:noalloc
 func fixBudget(p *Problem, rates []float64, lower, upper []bool) {
 	for pass := 0; pass < 4; pass++ {
@@ -217,7 +217,7 @@ func fixBudget(p *Problem, rates []float64, lower, upper []bool) {
 		for i, r := range rates {
 			viol += r * p.Loads[i]
 		}
-		if math.Abs(viol) <= 1e-12*math.Max(1, p.Budget) {
+		if math.Abs(viol) <= 1e-12*p.Budget {
 			return
 		}
 		den := 0.0

@@ -297,7 +297,7 @@ func TestWarmStartZeroAllocs(t *testing.T) {
 }
 
 // FuzzWarmStart: feasibility must hold for adversarial (prev, budget)
-// combinations.
+// combinations, and the solve from the projected start must certify.
 func FuzzWarmStart(f *testing.F) {
 	f.Add(uint64(1), 0.5, 0.3)
 	f.Add(uint64(2), 1.5, 0.9)
@@ -325,5 +325,24 @@ func FuzzWarmStart(f *testing.F) {
 			t.Fatalf("projection failed: %v", err)
 		}
 		checkWarmFeasible(t, p, rates)
+		// The solve from the projected start must be a certified optimum,
+		// as long as the start survives the solver's absolute snap: rates
+		// below snapTol are pinned to zero, and a start whose spend sits
+		// mostly below it (θ ~1e-13 of Σ U) collapses to the all-zero
+		// vertex, a known limit (DESIGN.md §13).
+		kept := 0.0
+		for i, r := range rates {
+			if r >= snapTol {
+				kept += r * p.Loads[i]
+			}
+		}
+		if kept < p.Budget*(1-1e-6) {
+			return
+		}
+		sol, err := Solve(p, Options{Initial: rates})
+		if err != nil {
+			t.Fatalf("warm solve failed: %v", err)
+		}
+		CertifySolution(t, p, sol, 0)
 	})
 }

@@ -67,6 +67,12 @@ type Solver struct {
 	curv          []float64
 	cgR, cgP, cgA []float64
 
+	// Scratch of the projected-Newton arc step (arc.go): the arc and ray
+	// points, the projection's per-link shift weights and its 2·n
+	// breakpoints. Only allocated for solvers with n ≥ arcMinFree;
+	// smaller ones never take the arc.
+	arcX, arcRay, arcW, arcBP []float64
+
 	// Scratch of the Frank-Wolfe approximation path (SolveApprox): the
 	// LMO's ratio keys and index permutation.
 	lmoIdx   []int32
@@ -168,6 +174,12 @@ func (s *Solver) initScratch() {
 		s.cgR = make([]float64, n)
 		s.cgP = make([]float64, n)
 		s.cgA = make([]float64, n)
+	}
+	if n >= arcMinFree {
+		s.arcX = make([]float64, n)
+		s.arcRay = make([]float64, n)
+		s.arcW = make([]float64, n)
+		s.arcBP = make([]float64, 2*n)
 	}
 	s.lmoIdx = make([]int32, n)
 	s.lmoRatio = make([]float64, n)
@@ -382,6 +394,8 @@ func (s *Solver) SolveInto(sol *Solution, opt Options) error {
 		// warm start supplies immediately — and safeguarded by the same
 		// bound clamping and line search as the first-order direction.
 		newton := !opt.DisableSecondOrder && s.newtonInto(sdir, rates, g, lower, upper)
+		// The projected-arc step (arc.go) bends Newton directions only.
+		arc := newton && free >= arcMinFree
 		if newton {
 			havePrev = false // don't blend a gradient with a Newton step
 		} else {
@@ -414,8 +428,14 @@ func (s *Solver) SolveInto(sol *Solution, opt Options) error {
 		tMax, blocking := maxStep(p, rates, sdir, lower, upper)
 		if tMax <= 0 {
 			// A constraint is binding in the search direction at step
-			// zero: activate it and recompute the projection.
+			// zero: activate it and recompute the projection — unless
+			// the projected arc, which pins every such constraint at
+			// once, makes progress.
 			if blocking >= 0 {
+				if arc && s.arcStep(rates, g, sdir, 0, 0) {
+					syncActive(p, rates, lower, upper)
+					continue
+				}
 				activate(p, rates, blocking, lower, upper)
 				havePrev = false
 				continue
@@ -427,6 +447,12 @@ func (s *Solver) SolveInto(sol *Solution, opt Options) error {
 		}
 
 		t, hitMax := s.lineSearch(rates, sdir, tMax, opt, newton)
+		if arc && tMax < 1 && s.arcStep(rates, g, sdir, t, tMax) {
+			// The projected arc beat the truncated ray: it may have pinned
+			// many coordinates at once.
+			syncActive(p, rates, lower, upper)
+			continue
+		}
 		for i := 0; i < n; i++ {
 			if !lower[i] && !upper[i] {
 				rates[i] += t * sdir[i]
@@ -537,12 +563,15 @@ func (s *Solver) newtonInto(out, rates, g []float64, lower, upper []bool) bool {
 	// Read the step back; require a (numerically) strict ascent
 	// direction — guaranteed in exact arithmetic when H is negative
 	// definite on the hyperplane's tangent space, so a failure here means
-	// the system was near-singular and the step is garbage.
+	// the system was near-singular and the step is garbage. So is a step
+	// that moves a coordinate by more than newtonMaxStep times its whole
+	// range: when H is singular on the tangent space (fewer pairs than
+	// free links) the elimination can survive on rounding-level pivots.
 	asc := 0.0
 	for i := 0; i < s.n; i++ {
 		if j := s.freePos[i]; j >= 0 {
 			v := rhs[j]
-			if math.IsNaN(v) || math.IsInf(v, 0) {
+			if math.IsNaN(v) || math.IsInf(v, 0) || math.Abs(v) > newtonMaxStep*p.alpha(i) {
 				return false
 			}
 			out[i] = v
@@ -553,6 +582,12 @@ func (s *Solver) newtonInto(out, rates, g []float64, lower, upper []bool) bool {
 	}
 	return asc > 0
 }
+
+// newtonMaxStep bounds a credible dense Newton step, in units of each
+// free coordinate's range α_i. A near-singular bordered system returns
+// steps ~1e17 times the range, which no line search can use: the solve
+// then repeats the same zero-length step until MaxIter.
+const newtonMaxStep = 1e6
 
 // solveDenseInPlace solves the m×m row-major system a·x = b by Gaussian
 // elimination with partial pivoting, overwriting a and b (b becomes x).

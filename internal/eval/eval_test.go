@@ -550,6 +550,22 @@ func TestWriteReport(t *testing.T) {
 	}
 }
 
+// TestReportHeadlineWorkCounters pins the work of `netsamp report`'s
+// headline solve (Table I on GEANT seed 1, θ = 100000): 13 iterations,
+// no removals. GEANT's 20 candidate links sit below the solver's
+// projected-arc gate, so this solve runs the one-bound active-set rule.
+func TestReportHeadlineWorkCounters(t *testing.T) {
+	cfg := ReportConfig{Seed: 1}.withDefaults()
+	r, err := Table1(scenario(t), cfg.Theta, 1, cfg.Seed+1000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := r.Solution.Stats; st.Iterations != 13 || st.Removals != 0 || !st.Converged {
+		t.Fatalf("headline solve: %d iterations, %d removals, converged=%v; want 13, 0, true",
+			st.Iterations, st.Removals, st.Converged)
+	}
+}
+
 func TestFigure2Extended(t *testing.T) {
 	s := scenario(t)
 	pts, err := Figure2Extended(s, []float64{50000, 200000}, 8, 13)
